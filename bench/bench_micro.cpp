@@ -230,8 +230,10 @@ void BM_QueueTokenAdmission(benchmark::State& state) {
 BENCHMARK(BM_QueueTokenAdmission);
 
 // Console output stays the familiar google-benchmark table; this reporter
-// additionally folds every iteration run into the uniform BENCH_micro.json
-// (stage rate = items/s when the benchmark sets it, else iterations/s).
+// additionally folds every iteration run into the uniform BENCH_micro.json.
+// Rate and time share one unit per benchmark: when the benchmark sets
+// items processed, the stage rate is items/s and ns_per_op_<bench> is ns
+// per item; otherwise they are iterations/s and real ns per iteration.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonCaptureReporter(chariots::bench::BenchReport* report)
@@ -241,18 +243,20 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       double rate = 0;
+      double ns_per_op = 0;
       auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) {
         rate = it->second.value;
-      } else if (run.real_accumulated_time > 0) {
+        if (rate > 0) ns_per_op = 1e9 / rate;
+      } else if (run.iterations > 0 && run.real_accumulated_time > 0) {
         rate = static_cast<double>(run.iterations) /
                run.real_accumulated_time;
+        ns_per_op = run.real_accumulated_time * 1e9 /
+                    static_cast<double>(run.iterations);
       }
       report_->AddStage(run.benchmark_name(), rate);
-      if (run.iterations > 0 && run.real_accumulated_time > 0) {
-        report_->AddExtra("ns_per_op_" + run.benchmark_name(),
-                          run.real_accumulated_time * 1e9 /
-                              static_cast<double>(run.iterations));
+      if (ns_per_op > 0) {
+        report_->AddExtra("ns_per_op_" + run.benchmark_name(), ns_per_op);
       }
       best_rate_ = std::max(best_rate_, rate);
     }

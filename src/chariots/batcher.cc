@@ -1,5 +1,7 @@
 #include "chariots/batcher.h"
 
+#include <algorithm>
+
 #include "common/metrics.h"
 
 namespace chariots::geo {
@@ -88,14 +90,27 @@ void Batcher::Submit(GeoRecord record) {
       }
     }
     if (ready.empty()) return;
-    for (auto& [id, batch] : ready) {
-      batches_out_.fetch_add(1, std::memory_order_relaxed);
-      BatchesOutCounter()->Add();
-      BatchSizeHist()->Record(batch.size());
-      metrics::ScopedLatencyTimer timer(FlushLatencyHist());
-      flush_(id, std::move(batch));
-    }
+    for (auto& [id, batch] : ready) Deliver(id, std::move(batch));
   }
+}
+
+void Batcher::SubmitBatch(std::vector<GeoRecord> records) {
+  if (records.empty()) return;
+  records_in_.fetch_add(records.size(), std::memory_order_relaxed);
+  RecordsInCounter()->Add(records.size());
+  // A filter stage has few filters, so a linear scan beats a hash map here.
+  std::vector<std::pair<uint32_t, std::vector<GeoRecord>>> groups;
+  for (GeoRecord& record : records) {
+    uint32_t filter_id = filter_map_->FilterFor(record.host, record.toid);
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const auto& g) { return g.first == filter_id; });
+    if (it == groups.end()) {
+      groups.emplace_back(filter_id, std::vector<GeoRecord>{});
+      it = groups.end() - 1;
+    }
+    it->second.push_back(std::move(record));
+  }
+  for (auto& [id, batch] : groups) Deliver(id, std::move(batch));
 }
 
 void Batcher::FlushAll() {
@@ -105,13 +120,16 @@ void Batcher::FlushAll() {
     out.swap(buffers_);
   }
   for (auto& [filter_id, batch] : out) {
-    if (batch.empty()) continue;
-    batches_out_.fetch_add(1, std::memory_order_relaxed);
-    BatchesOutCounter()->Add();
-    BatchSizeHist()->Record(batch.size());
-    metrics::ScopedLatencyTimer timer(FlushLatencyHist());
-    flush_(filter_id, std::move(batch));
+    if (!batch.empty()) Deliver(filter_id, std::move(batch));
   }
+}
+
+void Batcher::Deliver(uint32_t filter_id, std::vector<GeoRecord> batch) {
+  batches_out_.fetch_add(1, std::memory_order_relaxed);
+  BatchesOutCounter()->Add();
+  BatchSizeHist()->Record(batch.size());
+  metrics::ScopedLatencyTimer timer(FlushLatencyHist());
+  flush_(filter_id, std::move(batch));
 }
 
 }  // namespace chariots::geo

@@ -14,11 +14,14 @@
 
 namespace chariots::geo {
 
-/// A batcher (paper §6.2): buffers records received locally or from remote
-/// datacenters, one buffer per destination filter, and flushes a buffer to
-/// its filter when it reaches the size threshold (or on a timer so sparse
-/// traffic is not delayed indefinitely). Batchers are completely independent
-/// of each other — adding one requires no coordination. The flush timer is a
+/// A batcher (paper §6.2): groups records by destination filter and hands
+/// each group to its filter. Local client records are buffered, one buffer
+/// per filter, and a buffer is flushed when it reaches the size threshold or
+/// on a timer so sparse traffic is not delayed indefinitely. A replication
+/// batch from a remote datacenter is already a batch — the peer's sender
+/// built it — so SubmitBatch() groups it and flushes it at once, never
+/// waiting for the timer. Batchers are completely independent of each
+/// other — adding one requires no coordination. The flush timer is a
 /// periodic task on the shared executor, not a dedicated thread.
 class Batcher {
  public:
@@ -44,6 +47,11 @@ class Batcher {
   /// that buffer if it reached the threshold.
   void Submit(GeoRecord record);
 
+  /// Groups an already-formed batch (a decoded replication batch) by
+  /// championing filter and flushes every group immediately, bypassing the
+  /// buffers and the timer. Arrival order is kept within each group.
+  void SubmitBatch(std::vector<GeoRecord> records);
+
   /// Forces all buffers out immediately.
   void FlushAll();
 
@@ -51,7 +59,8 @@ class Batcher {
   uint64_t batches_out() const { return batches_out_.load(); }
 
  private:
-  void FlushLocked(uint32_t filter_id);
+  /// Hands one batch to flush_, with the stage's batch accounting.
+  void Deliver(uint32_t filter_id, std::vector<GeoRecord> batch);
 
   const FilterMap* const filter_map_;
   const size_t flush_records_;

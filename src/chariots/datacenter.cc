@@ -91,32 +91,23 @@ Status Datacenter::Start() {
     CHARIOTS_RETURN_IF_ERROR(RecoverFromStorage());
   }
 
-  // Queues + token.
+  // Queues. The token starts parked and is first woken at the end of
+  // Start(), once every stage a token step touches (the senders its ship
+  // pass reads included) exists; a record the receiver enqueues earlier
+  // wakes it no sooner than that, since the senders are built before the
+  // receiver is registered.
+  token_parked_.store(true);
+  token_done_ = std::make_unique<CountDownLatch>(1);
   queues_.reserve(kMaxQueues);
   for (uint32_t q = 0; q < config_.num_queues; ++q) {
-    queues_.push_back(std::make_unique<GeoQueue>(
-        q, &journal_,
-        [this](uint32_t m, GeoRecord r) {
-          r.trace.AddHop("queue", config_.dc_id);
-          RouteToMaintainer(m, std::move(r));
-        }));
+    queues_.push_back(MakeQueue(q));
   }
   queue_count_.store(queues_.size(), std::memory_order_release);
 
   // Filters, each with a bounded inbox drained on an executor strand.
   filters_.reserve(kMaxFilters);
   for (uint32_t f = 0; f < config_.num_filters; ++f) {
-    auto stage = std::make_unique<FilterStage>();
-    stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-        config_.stage_queue_capacity);
-    stage->filter = std::make_unique<Filter>(
-        f, &filter_map_, [this](GeoRecord r) {
-          r.trace.AddHop("filter", config_.dc_id);
-          uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
-          size_t n = queue_count_.load(std::memory_order_acquire);
-          queues_[i % n]->Enqueue(std::move(r));
-        });
-    filters_.push_back(std::move(stage));
+    filters_.push_back(MakeFilterStage(f));
   }
   // After a restart the filters resume their champion streams where the
   // recovered log left off.
@@ -131,40 +122,13 @@ Status Datacenter::Start() {
   // Batchers.
   batchers_.reserve(kMaxBatchers);
   for (uint32_t b = 0; b < config_.num_batchers; ++b) {
-    batchers_.push_back(std::make_unique<Batcher>(
-        &filter_map_, config_.batcher_flush_records,
-        config_.batcher_flush_nanos,
-        [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
-          DeliverToFilter(filter_id, std::move(batch));
-        },
-        executor_));
-    batchers_.back()->Start();
+    batchers_.push_back(MakeBatcher());
   }
   batcher_count_.store(batchers_.size(), std::memory_order_release);
 
-  // Token circulation: a self-rescheduling executor task.
-  token_done_ = std::make_unique<CountDownLatch>(1);
-  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
-    token_done_->CountDown();
-  }
-
-  // Replication: receiver first, then senders (sharded by destination).
+  // Replication: senders (sharded by destination) first — token steps post
+  // ship passes over them on commit — then the receiver.
   if (config_.num_datacenters > 1) {
-    receiver_ = std::make_unique<Receiver>(
-        config_.dc_id, &atable_, [this](GeoRecord r) {
-          // Shed remote records while congested (a partitioned or slow
-          // peer's backlog must not grow the queues without bound): the
-          // origin's sender retransmits them once we make progress.
-          if (Congested()) return false;
-          r.trace.AddHop("receiver", config_.dc_id);
-          SubmitToBatcher(std::move(r));
-          return true;
-        });
-    CHARIOTS_RETURN_IF_ERROR(fabric_->RegisterReceiver(
-        config_.dc_id, [this](DatacenterId from, std::string payload) {
-          receiver_->OnMessage(from, std::move(payload));
-        }));
-
     std::vector<DatacenterId> others =
         OtherDatacenters(config_.dc_id, config_.num_datacenters);
     uint32_t num_senders =
@@ -185,7 +149,29 @@ Status Datacenter::Start() {
           config_.dc_id, shard, &local_buffer_, &atable_, fabric_, so));
       senders_.back()->Start();
     }
+
+    receiver_ = std::make_unique<Receiver>(
+        config_.dc_id, &atable_, [this](std::vector<GeoRecord> batch) {
+          // Shed remote records while congested (a partitioned or slow
+          // peer's backlog must not grow the queues without bound): the
+          // origin's sender retransmits them once we make progress.
+          if (Congested()) return false;
+          for (GeoRecord& r : batch) {
+            r.trace.AddHop("receiver", config_.dc_id);
+            r.trace.AddHop("batcher", config_.dc_id);
+          }
+          NextBatcher()->SubmitBatch(std::move(batch));
+          return true;
+        });
+    CHARIOTS_RETURN_IF_ERROR(fabric_->RegisterReceiver(
+        config_.dc_id, [this](DatacenterId from, std::string payload) {
+          receiver_->OnMessage(from, std::move(payload));
+        }));
   }
+
+  // Token circulation: a self-rescheduling executor task that parks when
+  // idle.
+  WakeToken();
 
   if (config_.gc_interval_nanos > 0) {
     gc_token_ = executor_->ScheduleEvery(config_.gc_interval_nanos, [this] {
@@ -240,13 +226,17 @@ void Datacenter::Stop() {
     stage->gate.Close();
   }
   // The token chain observes running_ == false, drains the queues, counts
-  // the latch down, and stops rescheduling itself.
-  if (token_done_ != nullptr &&
-      !token_done_->WaitFor(std::chrono::seconds(30))) {
-    LOG_WARN << "dc" << config_.dc_id
-             << ": token drain timed out; records may be left in queues";
+  // the latch down, and stops rescheduling itself. A parked token is kicked
+  // for that drain.
+  if (token_done_ != nullptr) {
+    WakeToken();
+    if (!token_done_->WaitFor(std::chrono::seconds(30))) {
+      LOG_WARN << "dc" << config_.dc_id
+               << ": token drain timed out; records may be left in queues";
+    }
   }
   token_gate_.Close();
+  ship_gate_.Close();
   for (auto& s : senders_) s->Stop();
   if (receiver_ != nullptr) (void)fabric_->Unregister(config_.dc_id);
   gc_token_.Cancel();
@@ -394,6 +384,39 @@ Status Datacenter::RecoverFromStorage() {
   return Status::OK();
 }
 
+std::unique_ptr<GeoQueue> Datacenter::MakeQueue(uint32_t id) {
+  return std::make_unique<GeoQueue>(
+      id, &journal_, [this](uint32_t m, GeoRecord r) {
+        r.trace.AddHop("queue", config_.dc_id);
+        RouteToMaintainer(m, std::move(r));
+      });
+}
+
+std::unique_ptr<Datacenter::FilterStage> Datacenter::MakeFilterStage(
+    uint32_t id) {
+  // No thread to start: the stage's drain strand is scheduled on demand
+  // when the first batch arrives.
+  auto stage = std::make_unique<FilterStage>();
+  stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
+      config_.stage_queue_capacity);
+  stage->filter = std::make_unique<Filter>(
+      id, &filter_map_,
+      [this](GeoRecord r) { EnqueueFiltered(std::move(r)); });
+  return stage;
+}
+
+std::unique_ptr<Batcher> Datacenter::MakeBatcher() {
+  auto batcher = std::make_unique<Batcher>(
+      &filter_map_, config_.batcher_flush_records,
+      config_.batcher_flush_nanos,
+      [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
+        DeliverToFilter(filter_id, std::move(batch));
+      },
+      executor_);
+  batcher->Start();
+  return batcher;
+}
+
 void Datacenter::DeliverToFilter(uint32_t filter_id,
                                  std::vector<GeoRecord> batch) {
   if (filter_id >= filter_count_.load(std::memory_order_acquire)) return;
@@ -454,6 +477,44 @@ void Datacenter::DrainFilter(FilterStage* stage) {
   }
 }
 
+void Datacenter::EnqueueFiltered(GeoRecord record) {
+  record.trace.AddHop("filter", config_.dc_id);
+  uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
+  size_t n = queue_count_.load(std::memory_order_acquire);
+  queues_[i % n]->Enqueue(std::move(record));
+  WakeToken();
+}
+
+bool Datacenter::QueuesIdle() const {
+  size_t n = queue_count_.load(std::memory_order_acquire);
+  for (size_t q = 0; q < n; ++q) {
+    if (queues_[q]->pending() > 0) return false;
+  }
+  return true;
+}
+
+void Datacenter::ContinueToken() {
+  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
+    token_done_->CountDown();  // executor shutting down
+  }
+}
+
+void Datacenter::WakeToken() {
+  if (token_parked_.exchange(false)) ContinueToken();
+}
+
+void Datacenter::ScheduleShip() {
+  // Collapse concurrent requests: one pending pass ships everything
+  // committed before it runs.
+  if (ship_scheduled_.exchange(true, std::memory_order_acq_rel)) return;
+  executor_->Submit(ship_gate_.Wrap([this] {
+    // Cleared before the pass: a commit landing mid-pass schedules a fresh
+    // one rather than being left for the periodic tick.
+    ship_scheduled_.store(false, std::memory_order_release);
+    for (auto& sender : senders_) sender->TryTick();
+  }));
+}
+
 void Datacenter::TokenStep() {
   size_t appended = 0;
   size_t n = queue_count_.load(std::memory_order_acquire);
@@ -462,30 +523,36 @@ void Datacenter::TokenStep() {
     head_lid_.store(token_.next_lid, std::memory_order_release);
   }
   token_deferred_.store(token_.deferred.size(), std::memory_order_relaxed);
-  if (appended == 0) {
-    if (!running_.load(std::memory_order_relaxed)) {
-      // Drain check: stop once no queue has pending input. Records still
-      // deferred in the token have unsatisfiable dependencies (nothing new
-      // is coming) and are abandoned, matching a shutdown mid-replication.
-      bool idle = true;
-      for (size_t q = 0; q < n; ++q) {
-        idle = idle && queues_[q]->pending() == 0;
-      }
-      if (idle) {
-        token_done_->CountDown();
-        return;
-      }
-    }
-    // Idle: poll again in 100µs instead of monopolizing a worker.
-    Executor::TimerToken t = executor_->ScheduleAfter(
-        100'000, token_gate_.Wrap([this] { TokenStep(); }));
-    if (!t.valid()) token_done_->CountDown();  // executor shutting down
+  if (token_committed_local_) {
+    // Ship on commit, off the token chain: a send may block (a TCP connect
+    // to an unreachable peer, a bandwidth-limited link) or run the peer's
+    // receiver inline, and local LId assignment must never wait on the WAN.
+    token_committed_local_ = false;
+    ScheduleShip();
+  }
+  if (appended > 0) {
+    // Work is flowing: continue immediately (yield the worker between
+    // steps).
+    ContinueToken();
     return;
   }
-  // Work is flowing: continue immediately (yield the worker between steps).
-  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
-    token_done_->CountDown();
+  if (!running_.load()) {
+    // Drain check: stop once no queue has pending input. Records still
+    // deferred in the token have unsatisfiable dependencies (nothing new
+    // is coming) and are abandoned, matching a shutdown mid-replication.
+    if (QueuesIdle()) {
+      token_done_->CountDown();
+    } else {
+      ContinueToken();
+    }
+    return;
   }
+  // Idle: park. Re-check after raising the flag — an enqueue or Stop() that
+  // ran before the flag was visible did not wake us, so reclaim the flag
+  // and continue; if a waker got it first, its step is already submitted.
+  token_parked_.store(true);
+  if (QueuesIdle() && running_.load()) return;
+  if (token_parked_.exchange(false)) ContinueToken();
 }
 
 void Datacenter::RouteToMaintainer(uint32_t maintainer_index,
@@ -502,6 +569,7 @@ void Datacenter::RouteToMaintainer(uint32_t maintainer_index,
     return;
   }
   record.trace.AddHop("maintainer", config_.dc_id);
+  if (record.host == config_.dc_id) token_committed_local_ = true;
   indexer_.AddRecord(log_record, record.lid);
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
@@ -542,11 +610,15 @@ void Datacenter::RouteToMaintainer(uint32_t maintainer_index,
   wait_cv_.notify_all();
 }
 
-void Datacenter::SubmitToBatcher(GeoRecord record) {
-  record.trace.AddHop("batcher", config_.dc_id);
+Batcher* Datacenter::NextBatcher() {
   uint64_t i = batcher_rr_.fetch_add(1, std::memory_order_relaxed);
   size_t n = batcher_count_.load(std::memory_order_acquire);
-  batchers_[i % n]->Submit(std::move(record));
+  return batchers_[i % n].get();
+}
+
+void Datacenter::SubmitToBatcher(GeoRecord record) {
+  record.trace.AddHop("batcher", config_.dc_id);
+  NextBatcher()->Submit(std::move(record));
 }
 
 size_t Datacenter::PipelinePending() const {
@@ -754,19 +826,8 @@ Status Datacenter::SplitFilterChampionship(DatacenterId host, TOId from_toid,
     }
     // Grow the filter stage if the reassignment references new filters.
     while (f >= filters_.size()) {
-      auto stage = std::make_unique<FilterStage>();
-      stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-          config_.stage_queue_capacity);
-      uint32_t id = static_cast<uint32_t>(filters_.size());
-      stage->filter = std::make_unique<Filter>(
-          id, &filter_map_, [this](GeoRecord r) {
-            r.trace.AddHop("filter", config_.dc_id);
-            uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
-            queues_[i % queues_.size()]->Enqueue(std::move(r));
-          });
-      filters_.push_back(std::move(stage));
-      // No thread to start: the stage's drain strand is scheduled on demand
-      // when the first batch arrives.
+      filters_.push_back(
+          MakeFilterStage(static_cast<uint32_t>(filters_.size())));
       filter_count_.store(filters_.size(), std::memory_order_release);
     }
   }
@@ -777,14 +838,7 @@ Status Datacenter::AddBatcher() {
   if (batchers_.size() >= kMaxBatchers) {
     return Status::ResourceExhausted("batcher capacity reached");
   }
-  batchers_.push_back(std::make_unique<Batcher>(
-      &filter_map_, config_.batcher_flush_records,
-      config_.batcher_flush_nanos,
-      [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
-        DeliverToFilter(filter_id, std::move(batch));
-      },
-      executor_));
-  batchers_.back()->Start();
+  batchers_.push_back(MakeBatcher());
   batcher_count_.store(batchers_.size(), std::memory_order_release);
   return Status::OK();
 }
@@ -793,15 +847,12 @@ Status Datacenter::AddQueue() {
   if (queues_.size() >= kMaxQueues) {
     return Status::ResourceExhausted("queue capacity reached");
   }
-  uint32_t id = static_cast<uint32_t>(queues_.size());
-  queues_.push_back(std::make_unique<GeoQueue>(
-      id, &journal_, [this](uint32_t m, GeoRecord r) {
-        r.trace.AddHop("queue", config_.dc_id);
-        RouteToMaintainer(m, std::move(r));
-      }));
+  queues_.push_back(MakeQueue(static_cast<uint32_t>(queues_.size())));
   // Publishing the count both inserts the queue into the token circulation
-  // and lets filters start routing records to it.
+  // and lets filters start routing records to it; the wake makes a parked
+  // token take it in now.
   queue_count_.store(queues_.size(), std::memory_order_release);
+  WakeToken();
   return Status::OK();
 }
 

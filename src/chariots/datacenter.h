@@ -20,7 +20,6 @@
 #include "chariots/replication.h"
 #include "common/executor.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/queue.h"
 #include "common/trace.h"
 #include "common/watchdog.h"
@@ -35,15 +34,26 @@ namespace chariots::geo {
 /// garbage collection.
 ///
 /// Execution model (DESIGN.md §10): every stage runs as tasks on the shared
-/// executor instead of owning threads. Batcher flush timers are periodic
-/// timer tasks; each filter drains its bounded inbox on a serialized strand
-/// (one drain task at a time, scheduled on demand when batches arrive); the
-/// token circulates as a self-rescheduling task (immediately while work is
-/// flowing, on a 100µs timer when idle) so LId assignment still serializes
-/// through the token exactly as in the paper; appends to the log maintainers
-/// happen inside the token task (in-process FLStore); senders and GC are
-/// periodic timer tasks. Thread count is therefore a function of cores, not
-/// of topology width.
+/// executor instead of owning threads, and work moves to the next stage on
+/// the thread that produced it rather than waiting for a poll:
+///  * batchers flush local client records at a size threshold or on their
+///    periodic timer; a replication batch arriving from a peer is flushed to
+///    its filters at once;
+///  * each filter drains its bounded inbox on a serialized strand (one drain
+///    task at a time, scheduled on demand when batches arrive);
+///  * the token circulates as a self-rescheduling task while work flows, so
+///    LId assignment still serializes through the token exactly as in the
+///    paper. When a step finds nothing to admit the token parks — no timer,
+///    no polling — and the next queue enqueue, AddQueue() or Stop() wakes
+///    it. Records deferred on unmet dependencies wait inside the parked
+///    token and are re-examined on the next wake;
+///  * appends to the log maintainers happen inside the token task
+///    (in-process FLStore), and a step that committed local records posts
+///    one sender pass to the executor (coalesced while one is pending), so
+///    they ship on commit without the token ever waiting on a send. The
+///    senders' periodic tick remains for retransmit backoff and heartbeats;
+///    GC is a periodic timer task.
+/// Thread count is therefore a function of cores, not of topology width.
 class Datacenter {
  public:
   Datacenter(ChariotsConfig config, ReplicationFabric* fabric);
@@ -197,11 +207,28 @@ class Datacenter {
   Status RecoverFromStorage();
 
   struct FilterStage;
+  std::unique_ptr<GeoQueue> MakeQueue(uint32_t id);
+  std::unique_ptr<FilterStage> MakeFilterStage(uint32_t id);
+  std::unique_ptr<Batcher> MakeBatcher();
   void DeliverToFilter(uint32_t filter_id, std::vector<GeoRecord> batch);
   void ScheduleFilterDrain(FilterStage* stage);
   void DrainFilter(FilterStage* stage);
+  /// Hands a filtered record to a queue (round-robin) and wakes the token.
+  void EnqueueFiltered(GeoRecord record);
   void TokenStep();
+  /// Submits the next token step; counts the drain latch down if the
+  /// executor refuses (shutting down).
+  void ContinueToken();
+  /// Unparks the token if it is parked. At most one waker wins the flag, so
+  /// one wake submits at most one step.
+  void WakeToken();
+  /// True when no queue holds records awaiting the token.
+  bool QueuesIdle() const;
+  /// Posts one TryTick() pass over every sender to the executor unless one
+  /// is already pending.
+  void ScheduleShip();
   void RouteToMaintainer(uint32_t maintainer_index, GeoRecord record);
+  Batcher* NextBatcher();
   void SubmitToBatcher(GeoRecord record);
   /// Records buffered in the queues stage awaiting assignment.
   size_t PipelinePending() const;
@@ -248,6 +275,18 @@ class Datacenter {
   /// first scheduled), and the gate fences the chain after Stop().
   SerialGate token_gate_;
   std::unique_ptr<CountDownLatch> token_done_;
+  /// Set by a token step that found no work and returned without
+  /// scheduling a successor; cleared (by exchange) by whoever submits the
+  /// next step.
+  std::atomic<bool> token_parked_{false};
+  /// Set by RouteToMaintainer when the current token step incorporated a
+  /// local record. Only touched by token steps, which the token gate
+  /// serializes.
+  bool token_committed_local_ = false;
+  /// Fences posted ship passes after Stop(); ship_scheduled_ collapses
+  /// on-commit requests to one pending pass.
+  SerialGate ship_gate_;
+  std::atomic<bool> ship_scheduled_{false};
 
   std::vector<std::unique_ptr<flstore::LogMaintainer>> maintainers_;
   flstore::Indexer indexer_;

@@ -171,8 +171,18 @@ void Sender::Stop() {
 }
 
 size_t Sender::Tick() {
-  metrics::ScopedLatencyTimer timer(SenderTickHist());
   std::lock_guard<std::mutex> lock(mu_);
+  return TickLocked();
+}
+
+size_t Sender::TryTick() {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return 0;
+  return TickLocked();
+}
+
+size_t Sender::TickLocked() {
+  metrics::ScopedLatencyTimer timer(SenderTickHist());
   int64_t now = clock_->NowNanos();
   size_t shipped = 0;
 
@@ -260,6 +270,8 @@ void Receiver::OnMessage(DatacenterId from, std::string payload) {
     }
   }
   batches_received_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<GeoRecord> records;
+  records.reserve(batch->records.size());
   for (const std::string& encoded : batch->records) {
     Result<GeoRecord> record = DecodeGeoRecord(encoded);
     if (!record.ok()) {
@@ -277,12 +289,15 @@ void Receiver::OnMessage(DatacenterId from, std::string payload) {
       RecordsDedupedCounter()->Add();
       continue;
     }
-    if (!submit_(std::move(record).value())) {
-      // Pipeline congested: shed. The sender's rewind re-ships this record
-      // once the backlog (and our awareness row) stops advancing.
-      records_shed_.fetch_add(1, std::memory_order_relaxed);
-      RecordsShedCounter()->Add();
-    }
+    records.push_back(std::move(record).value());
+  }
+  if (records.empty()) return;
+  const size_t n = records.size();
+  if (!submit_(std::move(records))) {
+    // Pipeline congested: shed. The sender's rewind re-ships these records
+    // once the backlog (and our awareness row) stops advancing.
+    records_shed_.fetch_add(n, std::memory_order_relaxed);
+    RecordsShedCounter()->Add(n);
   }
 }
 

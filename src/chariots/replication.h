@@ -72,6 +72,13 @@ class LocalRecordBuffer {
 /// automatically. One Sender instance can own several destinations; a
 /// deployment scales by giving each destination (or destination shard) its
 /// own sender.
+///
+/// New records ship on commit: once a token step incorporates local
+/// records, the datacenter posts one TryTick() pass to the executor, so one
+/// message carries everything committed by then. The periodic tick remains
+/// for what has no commit to trigger it — retransmit backoff and
+/// heartbeats — and catches whatever an on-commit pass left behind or
+/// skipped.
 class Sender {
  public:
   struct Options {
@@ -98,10 +105,16 @@ class Sender {
   void Start();
   void Stop();
 
-  /// One pass over all destinations; returns records shipped. Exposed for
-  /// deterministic tests (the periodic executor task just calls this until
-  /// it reports idle).
+  /// One pass over all destinations; returns records shipped. Thread-safe:
+  /// the periodic executor task calls it until it reports idle, and tests
+  /// call it directly. Holds the sender's lock across fabric_->Send, which
+  /// may block (a TCP connect, a bandwidth-limited link).
   size_t Tick();
+
+  /// Tick() unless another pass holds the sender, in which case it skips
+  /// and returns 0: the on-commit pass never queues behind a pass stuck in
+  /// Send; the periodic tick ships what it skipped.
+  size_t TryTick();
 
   uint64_t records_sent() const { return records_sent_.load(); }
   uint64_t batches_sent() const { return batches_sent_.load(); }
@@ -117,6 +130,8 @@ class Sender {
     int64_t last_heartbeat_nanos = 0;
     int64_t resend_interval_nanos = 0;  // current backoff (0 = base)
   };
+
+  size_t TickLocked();
 
   const DatacenterId self_;
   const LocalRecordBuffer* const buffer_;
@@ -136,21 +151,23 @@ class Sender {
 };
 
 /// The receiving half: decodes replication batches from peers, merges the
-/// awareness table, and hands records to the local pipeline (batchers
-/// stage).
+/// awareness table, and hands each batch's records to the local pipeline
+/// (batchers stage) as one unit, so the batcher flushes it at once.
 ///
 /// Two duplicate/overload defenses before the pipeline sees a record:
 ///  * records the local knowledge vector already covers (retransmitted
 ///    after the ack was lost) are dropped here — no pipeline work at all;
 ///    in-flight duplicates deeper in still get dropped by the filters;
-///  * the submit callback may *refuse* a record (return false) when the
+///  * the submit callback may *refuse* the batch (return false) when the
 ///    pipeline is congested. Shedding is safe precisely because the sender
 ///    retransmits everything un-acked — awareness only advances on
-///    incorporation, so a shed record is delivered again later.
+///    incorporation, so a shed batch is delivered again later.
 class Receiver {
  public:
-  /// Returns false to shed the record (congestion); true if accepted.
-  using SubmitFn = std::function<bool(GeoRecord)>;
+  /// Receives the decoded, deduplicated records of one replication batch
+  /// (never empty). Returns false to shed them all (congestion); true if
+  /// accepted.
+  using SubmitFn = std::function<bool(std::vector<GeoRecord>)>;
 
   Receiver(DatacenterId self, AwarenessTable* atable, SubmitFn submit);
 

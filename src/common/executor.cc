@@ -285,8 +285,8 @@ void Executor::Arm(std::shared_ptr<TimerToken::TimerState> state,
   if (is_head) timer_cv_.notify_one();
 }
 
-void Executor::RunTimer(
-    const std::shared_ptr<TimerToken::TimerState>& state) {
+void Executor::RunTimer(const std::shared_ptr<TimerToken::TimerState>& state,
+                        int64_t due_nanos) {
   {
     std::lock_guard<std::mutex> lock(state->mu);
     if (state->cancelled) return;
@@ -301,7 +301,16 @@ void Executor::RunTimer(
     rearm = state->period_nanos > 0 && !state->cancelled;
   }
   state->cv.notify_all();
-  if (rearm) Arm(state, clock_->NowNanos() + state->period_nanos);
+  if (!rearm) return;
+  // Fixed rate: the next run is due one period after this run was *due*, so
+  // wake-up and run time do not accumulate as drift. Periods missed while
+  // the callback overran (or the worker lane was backed up) are skipped,
+  // not fired in a burst.
+  const int64_t period = state->period_nanos;
+  int64_t next = due_nanos + period;
+  int64_t now = clock_->NowNanos();
+  if (next < now) next += ((now - next) / period + 1) * period;
+  Arm(state, next);
 }
 
 void Executor::TimerLoop() {
@@ -324,10 +333,11 @@ void Executor::TimerLoop() {
     if (entry.state->lane == Lane::kTimer) {
       // Inline on the timer thread: reserved for non-blocking callbacks
       // (e.g. transport response delivery). See header.
-      RunTimer(entry.state);
+      RunTimer(entry.state, entry.due_nanos);
     } else {
       std::shared_ptr<TimerToken::TimerState> state = entry.state;
-      Submit([this, state] { RunTimer(state); });
+      int64_t due = entry.due_nanos;
+      Submit([this, state, due] { RunTimer(state, due); });
     }
     lock.lock();
   }
@@ -353,7 +363,7 @@ void Executor::AdvanceUntil(int64_t target_nanos) {
     }
     // Never step the clock backwards (entries already due stay at now).
     if (entry.due_nanos > manual_->NowNanos()) manual_->Set(entry.due_nanos);
-    RunTimer(entry.state);
+    RunTimer(entry.state, entry.due_nanos);
   }
   if (target_nanos > manual_->NowNanos()) manual_->Set(target_nanos);
 }

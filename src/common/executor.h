@@ -2,6 +2,7 @@
 #define CHARIOTS_COMMON_EXECUTOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -22,7 +23,7 @@ namespace chariots {
 /// limit) and counts it in the `chariots.runtime.threads` gauge, so ops can
 /// both `ps -T` a node and alert when the thread budget is exceeded. Used by
 /// every long-lived thread the system creates (executor workers, timer,
-/// thread pools, reactor I/O threads, sim machines).
+/// reactor I/O threads, sim machines).
 class ScopedRuntimeThread {
  public:
   explicit ScopedRuntimeThread(const std::string& name);
@@ -88,6 +89,33 @@ class SerialGate {
     bool open = true;
   };
   std::shared_ptr<State> state_;
+};
+
+/// Single-use barrier: Wait() blocks until CountDown() has been called
+/// `count` times.
+class CountDownLatch {
+ public:
+  explicit CountDownLatch(int count) : count_(count) {}
+
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (count_ > 0 && --count_ == 0) cv_.notify_all();
+  }
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return count_ == 0; });
+  }
+
+  bool WaitFor(std::chrono::nanoseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int count_;
 };
 
 /// Shared task executor + timer service (DESIGN.md §10): O(cores) named
@@ -191,9 +219,10 @@ class Executor {
   TimerToken ScheduleAfter(int64_t delay_nanos, std::function<void()> fn,
                            Lane lane = Lane::kWorker);
 
-  /// Runs `fn` every `period_nanos`, fixed-delay and non-overlapping: the
-  /// next run is armed `period_nanos` after the previous run *returns*
-  /// (matching the `sleep(interval); work()` loops this replaces).
+  /// Runs `fn` every `period_nanos`, fixed-rate and non-overlapping: run k
+  /// is due at start + k * period_nanos whatever the previous run cost, and
+  /// the next run is armed only after the previous one returns. Periods
+  /// that passed while a run overran are skipped, not fired in a burst.
   TimerToken ScheduleEvery(int64_t period_nanos, std::function<void()> fn,
                            Lane lane = Lane::kWorker);
 
@@ -237,7 +266,8 @@ class Executor {
   void WorkerLoop(size_t index);
   void TimerLoop();
   bool PopTask(size_t index, std::function<void()>* task);
-  void RunTimer(const std::shared_ptr<TimerToken::TimerState>& state);
+  void RunTimer(const std::shared_ptr<TimerToken::TimerState>& state,
+                int64_t due_nanos);
   void Arm(std::shared_ptr<TimerToken::TimerState> state, int64_t due_nanos);
 
   const std::string name_;

@@ -66,6 +66,7 @@ void LogMaintainer::IndexClearLocked() {
 Status LogMaintainer::Open() {
   std::lock_guard<std::shared_mutex> lock(mu_);
   IndexClearLocked();  // the recovery-scan hooks repopulate it
+  tail_cache_.Clear();
   CHARIOTS_RETURN_IF_ERROR(store_.Open());
   RebuildStateLocked();
   return Status::OK();
@@ -378,6 +379,14 @@ Result<std::vector<LId>> LogMaintainer::FillHoles(const LogRecord& junk) {
 }
 
 Result<LogRecord> LogMaintainer::Read(LId lid) const {
+  // Hot tail first, without mu_: a cached record landed here (so this
+  // maintainer owns it) and is still indexed — every path that drops an
+  // index entry drops its cache entry too, under mu_, so a hit racing one
+  // reads just before it. Skipping mu_ keeps a tail read from waiting out
+  // an append's store write.
+  if (std::optional<std::string> cached = tail_cache_.Get(lid)) {
+    return DecodeLogRecord(lid, *cached);
+  }
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (journal_.MaintainerFor(lid) != options_.index) {
@@ -386,11 +395,6 @@ Result<LogRecord> LogMaintainer::Read(LId lid) const {
     if (read_index_.find(lid) == read_index_.end()) {
       return Status::NotFound("no record at lid");
     }
-  }
-  // Lock released: the hot path below never holds mu_, so readers contend
-  // with neither appends nor each other.
-  if (std::optional<std::string> cached = tail_cache_.Get(lid)) {
-    return DecodeLogRecord(lid, *cached);
   }
   // Cold read straight off the store (pread under its shared lock). A
   // concurrent Remove may have won the race — surface its NotFound.

@@ -99,12 +99,13 @@ class LogMaintainer {
   Result<std::vector<LId>> FillHoles(const LogRecord& junk);
 
   /// Raw read: the record at `lid` regardless of gaps before it. Memory
-  /// speed on the hot tail: ownership + presence are answered from the
-  /// in-memory read index under a shared lock (concurrent readers never
-  /// serialize against each other), the payload comes from the tail cache
-  /// when present, and only a cold read falls through to the segment store
-  /// (pread under the store's own shared lock — the maintainer lock is NOT
-  /// held across disk I/O).
+  /// speed on the hot tail: a tail-cache hit is served without the
+  /// maintainer lock, so it never waits behind an append. Otherwise
+  /// ownership + presence are answered from the in-memory read index under
+  /// a shared lock (concurrent readers never serialize against each other)
+  /// and the payload is read from the segment store (pread under the
+  /// store's own shared lock — the maintainer lock is NOT held across disk
+  /// I/O).
   Result<LogRecord> Read(LId lid) const;
 
   /// Gap-safe read (paper §5.4): fails with Unavailable if `lid >=

@@ -324,10 +324,14 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
     ++dropped_;
     return;
   }
-  inbox->handler(std::move(msg));
+  // Counted before the handler runs, like the drop path: a caller woken by
+  // the handler itself must already observe the delivery.
   DeliveredCounter()->Add();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++delivered_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++delivered_;
+  }
+  inbox->handler(std::move(msg));
 }
 
 void InProcTransport::SetLink(const std::string& src_prefix,

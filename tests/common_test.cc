@@ -11,13 +11,13 @@
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/crc32c.h"
+#include "common/executor.h"
 #include "common/histogram.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/rate_limiter.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace chariots {
 namespace {
@@ -477,26 +477,7 @@ TEST(BoundedQueueTest, BulkOpsConcurrentStress) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.Submit([&] { ++count; }));
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, DestructorDrains) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.Submit([&] { ++count; });
-  }
-  EXPECT_EQ(count.load(), 50);
-}
+// --------------------------------------------------------- CountDownLatch
 
 TEST(CountDownLatchTest, ReleasesAtZero) {
   CountDownLatch latch(3);

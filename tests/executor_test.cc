@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "common/thread_pool.h"
 
 namespace chariots {
 namespace {
@@ -145,9 +144,8 @@ TEST(ExecutorVirtualTest, CallbackSeesClockAtItsDeadline) {
 
 TEST(ExecutorVirtualTest, ScheduleEveryHasNoDrift) {
   VirtualFixture fx;
-  // Fixed-delay rearm from the completion time; in virtual time callbacks
-  // complete instantaneously at their deadline, so fires land at exact
-  // multiples of the period with zero drift.
+  // Fixed-rate rearm from the due time: fires land at exact multiples of
+  // the period with zero drift.
   std::vector<int64_t> fires;
   fx.exec.ScheduleEvery(10 * kMs, [&] { fires.push_back(fx.clock.NowNanos()); });
   fx.exec.AdvanceUntil(105 * kMs);
@@ -155,6 +153,38 @@ TEST(ExecutorVirtualTest, ScheduleEveryHasNoDrift) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(fires[i], (i + 1) * 10 * kMs) << "fire " << i;
   }
+}
+
+TEST(ExecutorVirtualTest, ScheduleEveryIsFixedRateWhenCallbackTakesTime) {
+  VirtualFixture fx;
+  // Each run costs 3 ms of (virtual) time. A fixed-delay timer would fire
+  // at 10, 23, 36, ...; fixed-rate keeps every run on the 10 ms grid.
+  std::vector<int64_t> fires;
+  fx.exec.ScheduleEvery(10 * kMs, [&] {
+    fires.push_back(fx.clock.NowNanos());
+    fx.clock.Advance(3 * kMs);
+  });
+  fx.exec.AdvanceUntil(105 * kMs);
+  ASSERT_EQ(fires.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(fires[i], (i + 1) * 10 * kMs) << "fire " << i;
+  }
+}
+
+TEST(ExecutorVirtualTest, ScheduleEverySkipsMissedPeriods) {
+  VirtualFixture fx;
+  // The second run overruns by 2.5 periods (20 ms -> 45 ms): the periods
+  // due at 30 and 40 ms are skipped rather than fired back to back, and
+  // the schedule resumes on the grid at 50 ms.
+  std::vector<int64_t> fires;
+  fx.exec.ScheduleEvery(10 * kMs, [&] {
+    fires.push_back(fx.clock.NowNanos());
+    if (fires.size() == 2) fx.clock.Advance(25 * kMs);
+  });
+  fx.exec.AdvanceUntil(75 * kMs);
+  std::vector<int64_t> want = {10 * kMs, 20 * kMs, 50 * kMs, 60 * kMs,
+                               70 * kMs};
+  EXPECT_EQ(fires, want);
 }
 
 TEST(ExecutorVirtualTest, CancelOneShotBeforeDue) {
@@ -320,31 +350,6 @@ TEST(SerialGateTest, WrappedTaskOutlivesGateObject) {
   }
   task();  // must not crash; gate state is shared_ptr-owned
   EXPECT_EQ(runs, 0);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool satellites
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolShutdownTest, SubmitAfterShutdownReturnsFalse) {
-  ThreadPool pool(2, "t-pool");
-  std::atomic<int> ran{0};
-  pool.Submit([&] { ran.fetch_add(1); });
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([&] { ran.fetch_add(1); }));
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolShutdownTest, PoolThreadsJoinCensus) {
-  int64_t before = RuntimeThreadCount();
-  {
-    ThreadPool pool(3, "t-census-pool");
-    for (int i = 0; i < 1000 && RuntimeThreadCount() < before + 3; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(RuntimeThreadCount(), before + 3);
-  }
-  EXPECT_EQ(RuntimeThreadCount(), before);
 }
 
 }  // namespace

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -12,6 +17,7 @@
 #include "chariots/datacenter.h"
 #include "chariots/fabric.h"
 #include "chariots/geo_service.h"
+#include "common/clock.h"
 #include "common/executor.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -721,6 +727,270 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyParam{3, 30, 500'000},
                       PropertyParam{4, 20, 2'000'000},
                       PropertyParam{5, 15, 0}));
+
+// ----------------------------------------------------- event-driven pipeline
+//
+// The remote path has no timer on it: an idle token parks instead of
+// polling, a replication batch is flushed to the filters on arrival, and a
+// committed local record ships on a sender pass its token step posts. On a
+// virtual-time executor timers fire only when the test advances the clock,
+// so whatever happens below without an AdvanceBy happened on an event.
+
+/// Fabric that records every send and lets a test deliver payloads by hand.
+class RecordingFabric : public ReplicationFabric {
+ public:
+  Status RegisterReceiver(DatacenterId dc, Handler handler) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    handlers_[dc] = std::move(handler);
+    return Status::OK();
+  }
+  Status Unregister(DatacenterId dc) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    handlers_.erase(dc);
+    return Status::OK();
+  }
+  Status Send(DatacenterId, DatacenterId, std::string payload) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    sent_.push_back(std::move(payload));
+    return Status::OK();
+  }
+
+  void Deliver(DatacenterId from, DatacenterId to, std::string payload) {
+    Handler handler;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      handler = handlers_.at(to);
+    }
+    handler(from, std::move(payload));
+  }
+
+  /// Every record shipped so far, decoded, in send order.
+  std::vector<GeoRecord> SentRecords() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<GeoRecord> out;
+    for (const std::string& payload : sent_) {
+      Result<ReplicationBatch> batch = DecodeReplicationBatch(payload);
+      EXPECT_TRUE(batch.ok());
+      if (!batch.ok()) continue;
+      for (const std::string& encoded : batch->records) {
+        Result<GeoRecord> r = DecodeGeoRecord(encoded);
+        EXPECT_TRUE(r.ok());
+        if (r.ok()) out.push_back(std::move(r).value());
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<DatacenterId, Handler> handlers_;
+  std::vector<std::string> sent_;
+};
+
+/// One datacenter on its own virtual-time executor and a RecordingFabric.
+class VirtualDatacenter {
+ public:
+  explicit VirtualDatacenter(ChariotsConfig config) {
+    config.executor = &exec_;
+    dc_ = std::make_unique<Datacenter>(config, &fabric_);
+    EXPECT_TRUE(dc_->Start().ok());
+    exec_.WaitIdle();
+  }
+  ~VirtualDatacenter() { dc_->Stop(); }
+
+  Datacenter& dc() { return *dc_; }
+  RecordingFabric& fabric() { return fabric_; }
+  Executor& exec() { return exec_; }
+  int64_t now() const { return clock_.NowNanos(); }
+
+ private:
+  ManualClock clock_;
+  Executor exec_{{.num_threads = 2, .name = "t-evdc", .manual_clock = &clock_}};
+  RecordingFabric fabric_;
+  std::unique_ptr<Datacenter> dc_;
+};
+
+ChariotsConfig TwoDcConfig(DatacenterId self) {
+  ChariotsConfig config;
+  config.dc_id = self;
+  config.num_datacenters = 2;
+  return config;
+}
+
+TEST(EventDrivenPipelineTest, IdleDatacenterRunsNoTokenSteps) {
+  VirtualDatacenter v(TwoDcConfig(0));
+  metrics::Histogram* steps = metrics::Registry::Default().GetHistogram(
+      "chariots.queue.process_token_ns");
+  const uint64_t before = steps->count();
+  // 50 ms of batcher ticks and sender ticks (heartbeats included), and not
+  // one token step: the parked token has nothing to wake it.
+  for (int ms = 0; ms < 50; ++ms) {
+    v.exec().AdvanceBy(1'000'000);
+    v.exec().WaitIdle();
+  }
+  EXPECT_EQ(steps->count(), before);
+  EXPECT_TRUE(v.fabric().SentRecords().empty());
+}
+
+TEST(EventDrivenPipelineTest, ReplicationBatchIncorporatedWithoutTimer) {
+  VirtualDatacenter v(TwoDcConfig(1));
+  ReplicationBatch batch;
+  batch.first_toid = 1;
+  for (TOId t = 1; t <= 3; ++t) {
+    GeoRecord r;
+    r.host = 0;
+    r.toid = t;
+    r.deps = {0, 0};
+    r.body = "remote" + std::to_string(t);
+    batch.records.push_back(EncodeGeoRecord(r));
+  }
+  v.fabric().Deliver(0, 1, EncodeReplicationBatch(batch));
+  v.exec().WaitIdle();
+  // The virtual clock never moved, so the 1 ms batcher flush timer never
+  // fired: the batch went straight through to the log.
+  EXPECT_EQ(v.now(), 0);
+  EXPECT_EQ(v.dc().IncorporatedVector()[0], 3u);
+  EXPECT_EQ(v.dc().HeadLid(), 3u);
+  Result<GeoRecord> r = v.dc().ReadByToid(0, 3);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->body, "remote3");
+  EXPECT_EQ(v.dc().GetStats().batches_flushed, 1u);
+}
+
+TEST(EventDrivenPipelineTest, CommittedLocalRecordShipsWithoutSenderTick) {
+  ChariotsConfig config = TwoDcConfig(0);
+  config.batcher_flush_records = 1;  // the local append flushes by size
+  VirtualDatacenter v(config);
+  std::atomic<bool> committed{false};
+  v.dc().Append("ship me", {}, {},
+                [&](TOId, flstore::LId) { committed = true; });
+  v.exec().WaitIdle();
+  ASSERT_TRUE(committed.load());
+  // No sender tick ran (the clock never moved); the pass posted by the
+  // token step that committed the record shipped it.
+  EXPECT_EQ(v.now(), 0);
+  std::vector<GeoRecord> sent = v.fabric().SentRecords();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].host, 0u);
+  EXPECT_EQ(sent[0].toid, 1u);
+  EXPECT_EQ(sent[0].body, "ship me");
+}
+
+/// Fabric whose Send blocks until the test opens it — a TCP connect to a
+/// peer that drops SYNs, or a saturated bandwidth-limited link.
+class BlockingFabric : public RecordingFabric {
+ public:
+  Status Send(DatacenterId from, DatacenterId to,
+              std::string payload) override {
+    sends_started_.fetch_add(1);
+    open_.Wait();
+    return RecordingFabric::Send(from, to, std::move(payload));
+  }
+  void Open() { open_.CountDown(); }
+  int sends_started() const { return sends_started_.load(); }
+
+ private:
+  CountDownLatch open_{1};
+  std::atomic<int> sends_started_{0};
+};
+
+TEST(EventDrivenPipelineTest, BlockedSendDoesNotStallLocalCommits) {
+  // Local commits never wait on the WAN: with a send to the peer stuck, the
+  // token keeps assigning LIds and every local append still commits.
+  BlockingFabric fabric;
+  Executor exec({.num_threads = 4, .name = "t-blksend"});
+  ChariotsConfig config = TwoDcConfig(0);
+  config.batcher_flush_records = 1;
+  config.executor = &exec;
+  Datacenter dc(config, &fabric);
+  // Unblocks the fabric before `dc` is destroyed, even when an assertion
+  // below returns early, so its Stop() cannot hang on the stuck send.
+  struct OpenOnExit {
+    BlockingFabric* fabric;
+    ~OpenOnExit() { fabric->Open(); }
+  } open_on_exit{&fabric};
+  ASSERT_TRUE(dc.Start().ok());
+  ChariotsClient session(&dc);
+  ASSERT_TRUE(session.Append("first", {}, std::chrono::seconds(5)).ok());
+  // Shipping "first" wedges a sender pass inside Send.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fabric.sends_started() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(fabric.sends_started(), 1);
+  constexpr int kMore = 20;
+  for (int i = 0; i < kMore; ++i) {
+    ASSERT_TRUE(session.Append("x", {}, std::chrono::seconds(2)).ok())
+        << "append " << i << " stalled behind the blocked send";
+  }
+  EXPECT_EQ(dc.HeadLid(), static_cast<flstore::LId>(kMore + 1));
+  // Once the peer is reachable again, the periodic tick ships what the
+  // skipped on-commit passes left behind.
+  fabric.Open();
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fabric.SentRecords().size() < kMore + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fabric.SentRecords().size(), static_cast<size_t>(kMore + 1));
+  dc.Stop();
+}
+
+TEST(EventDrivenPipelineTest, StopDrainsThroughParkedToken) {
+  ChariotsConfig config;
+  config.batcher_flush_records = 1000;  // appends wait in the batcher
+  VirtualDatacenter v(config);
+  constexpr int kRecords = 100;
+  std::atomic<int> committed{0};
+  for (int i = 0; i < kRecords; ++i) {
+    v.dc().Append(std::to_string(i), {}, {},
+                  [&](TOId, flstore::LId) { committed.fetch_add(1); });
+  }
+  v.exec().WaitIdle();
+  ASSERT_EQ(committed.load(), 0);  // the flush timer never fired
+  // Stop flushes the batchers and drains the filters into the queues; the
+  // parked token must be kicked for the drain — with no clock movement
+  // nothing else would wake it before the 30 s drain timeout.
+  auto start = std::chrono::steady_clock::now();
+  v.dc().Stop();
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(committed.load(), kRecords);
+  EXPECT_EQ(v.dc().HeadLid(), static_cast<flstore::LId>(kRecords));
+}
+
+TEST(EventDrivenPipelineTest, ConcurrentAppendsRacingTheParkAllCommit) {
+  // Real time: in each round every thread makes one synchronous append at
+  // dc0 at the same moment, so enqueues race the token parking. The barrier
+  // is what makes a lost wake visible: no later enqueue can rescue a
+  // stranded record, so its session's Append times out.
+  ChariotsConfig base;
+  base.batcher_flush_records = 1;
+  GeoCluster cluster(2, 0, base);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 500;
+  std::barrier round(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ChariotsClient session(&cluster.dc(0));
+      for (int i = 0; i < kRounds; ++i) {
+        round.arrive_and_wait();
+        if (!session.Append("x", {}, std::chrono::seconds(2)).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(cluster.AwaitConvergence());
+  const flstore::LId total = kThreads * kRounds;
+  EXPECT_EQ(cluster.dc(0).HeadLid(), total);
+  EXPECT_EQ(cluster.dc(1).HeadLid(), total);
+}
 
 }  // namespace
 }  // namespace chariots::geo

@@ -142,6 +142,27 @@ TEST(BatcherTest, TimerFlushesSparseTraffic) {
   batcher.Stop();
 }
 
+TEST(BatcherTest, SubmitBatchFlushesEachFilterGroupAtOnce) {
+  // A replication batch is already a batch: it is grouped by championing
+  // filter and flushed immediately, with no size threshold and no timer,
+  // and it does not sweep up locally buffered records.
+  FilterMap map(2, 2);
+  std::map<uint32_t, std::vector<TOId>> by_filter;
+  Batcher batcher(&map, 1000, 1'000'000'000,
+                  [&](uint32_t f, std::vector<GeoRecord> b) {
+                    for (auto& r : b) by_filter[f].push_back(r.toid);
+                  });
+  batcher.Submit(Rec(0, 1));  // local, stays buffered
+  std::vector<GeoRecord> remote = {Rec(1, 1), Rec(1, 2), Rec(1, 3)};
+  batcher.SubmitBatch(std::move(remote));
+  EXPECT_EQ(by_filter[1], (std::vector<TOId>{1, 2, 3}));
+  EXPECT_TRUE(by_filter[0].empty());
+  EXPECT_EQ(batcher.records_in(), 4u);
+  EXPECT_EQ(batcher.batches_out(), 1u);
+  batcher.FlushAll();
+  EXPECT_EQ(by_filter[0], (std::vector<TOId>{1}));
+}
+
 TEST(BatcherTest, RoutesByChampion) {
   FilterMap map(2, 2);
   std::map<uint32_t, std::vector<TOId>> by_filter;
@@ -384,13 +405,20 @@ class SenderReceiverTest : public ::testing::Test {
   SenderReceiverTest() : atable0_(2, 0), atable1_(2, 1) {}
 
   // Wires a sender at DC0 and a receiver at DC1 through the direct fabric.
-  void Wire(Sender::Options options = {}) {
+  void Wire(Sender::Options options = {}, Clock* clock = nullptr) {
     receiver_ = std::make_unique<Receiver>(
-        1, &atable1_, [this](GeoRecord r) {
-          received_.push_back(std::move(r));
-          // A real datacenter incorporates via the pipeline; the test
-          // incorporates instantly and advances its own awareness row.
-          atable1_.Advance(1, 0, received_.back().toid);
+        1, &atable1_, [this](std::vector<GeoRecord> batch) {
+          if (refuse_batches_ > 0) {
+            // Congested pipeline: shed the whole batch.
+            --refuse_batches_;
+            return false;
+          }
+          for (GeoRecord& r : batch) {
+            received_.push_back(std::move(r));
+            // A real datacenter incorporates via the pipeline; the test
+            // incorporates instantly and advances its own awareness row.
+            atable1_.Advance(1, 0, received_.back().toid);
+          }
           return true;
         });
     ASSERT_TRUE(fabric_
@@ -404,7 +432,7 @@ class SenderReceiverTest : public ::testing::Test {
                     .ok());
     sender_ = std::make_unique<Sender>(0, std::vector<DatacenterId>{1},
                                        &buffer_, &atable0_, &fabric_,
-                                       options);
+                                       options, clock);
   }
 
   void PutLocal(TOId toid) {
@@ -418,6 +446,7 @@ class SenderReceiverTest : public ::testing::Test {
   std::unique_ptr<Receiver> receiver_;
   std::unique_ptr<Sender> sender_;
   std::vector<GeoRecord> received_;
+  int refuse_batches_ = 0;  // batches the receiver's submit still sheds
 };
 
 TEST_F(SenderReceiverTest, ShipsNewRecordsOnTick) {
@@ -460,6 +489,30 @@ TEST_F(SenderReceiverTest, AckStopsRetransmission) {
   atable0_.Advance(1, 0, 1);
   EXPECT_EQ(sender_->Tick(), 0u);
   EXPECT_EQ(received_.size(), 1u);
+}
+
+TEST_F(SenderReceiverTest, ShedBatchIsReshippedByRewind) {
+  ManualClock clock;
+  Sender::Options options;
+  options.resend_nanos = 50'000'000;
+  Wire(options, &clock);
+  refuse_batches_ = 1;
+  for (TOId t = 1; t <= 4; ++t) PutLocal(t);
+  EXPECT_EQ(sender_->Tick(), 4u);
+  // The congested receiver refused the batch as a unit: nothing reached the
+  // pipeline and every record of it counts as shed.
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(receiver_->records_shed(), 4u);
+  // Before resend_nanos passes the sender waits for an ack...
+  EXPECT_EQ(sender_->Tick(), 0u);
+  EXPECT_EQ(sender_->rewinds(), 0u);
+  // ...after it, the ack never came, so it rewinds and re-ships the batch.
+  clock.Advance(options.resend_nanos + 1);
+  EXPECT_EQ(sender_->Tick(), 4u);
+  EXPECT_EQ(sender_->rewinds(), 1u);
+  ASSERT_EQ(received_.size(), 4u);
+  for (TOId t = 1; t <= 4; ++t) EXPECT_EQ(received_[t - 1].toid, t);
+  EXPECT_EQ(receiver_->records_shed(), 4u);
 }
 
 TEST_F(SenderReceiverTest, HeartbeatCarriesAwarenessWhenIdle) {
